@@ -3,15 +3,20 @@
 // solver configurations at container scale and prints the same rows/series
 // the paper reports, echoing the paper's own numbers for comparison.
 //
-// Measurement caveat (documented in DESIGN.md): this container has one CPU
-// core, so ranks are time-shared threads and wall time cannot drop with p.
+// Measurement caveat (documented in DESIGN.md): ranks are threads of one
+// process on the host's cores (4 on the reference container), so wall time
+// can drop with p only up to the core count; beyond it ranks time-share.
 // Scaling rows therefore report, per p: iterations, the slowest rank's
 // kernel-evaluation count (the per-rank work the paper's speedup comes
 // from), wall time, and "modeled s" = per-rank work * lambda + the alpha-
 // beta network model — the quantity whose shape mirrors the paper's curves.
 #pragma once
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -43,13 +48,19 @@ struct BenchArgs {
   std::string engine_flavor = "f64";
 };
 
+/// Parses "p1,p2,..."; every entry must be a whole positive integer.
+/// Throws std::invalid_argument otherwise.
 inline std::vector<int> parse_rank_list(const std::string& list) {
   std::vector<int> ranks;
   std::size_t at = 0;
-  while (at < list.size()) {
-    const std::size_t comma = list.find(',', at);
-    ranks.push_back(std::stoi(list.substr(at, comma - at)));
-    if (comma == std::string::npos) break;
+  while (at <= list.size()) {
+    const std::size_t comma = std::min(list.find(',', at), list.size());
+    const std::string entry = list.substr(at, comma - at);
+    int p = 0;
+    const auto [end, error] = std::from_chars(entry.data(), entry.data() + entry.size(), p);
+    if (entry.empty() || error != std::errc() || end != entry.data() + entry.size() || p <= 0)
+      throw std::invalid_argument("--ranks: '" + entry + "' is not a positive rank count");
+    ranks.push_back(p);
     at = comma + 1;
   }
   return ranks;
@@ -64,27 +75,45 @@ struct ParsedArgs {
   BenchArgs args;
 };
 
+/// "usage: prog [--flag V] [--switch] ..." for a CliFlags known-flags list.
+inline std::string usage_line(const std::string& program, const std::vector<std::string>& known) {
+  std::string line = "usage: " + program;
+  for (const std::string& k : known)
+    line += k.back() == '!' ? " [--" + k.substr(0, k.size() - 1) + "]" : " [--" + k + " V]";
+  return line;
+}
+
 /// One-call flag wiring shared by every bench: appends the standard obs +
 /// engine flags (and scale/ranks/quick/eps) to the bench's own flag list,
 /// parses argv, applies --log-level, and fills BenchArgs. This is the single
-/// copy of the with_engine_flags(with_obs_flags(...)) boilerplate.
+/// copy of the with_engine_flags(with_obs_flags(...)) boilerplate. A bad
+/// flag or value prints the error and the usage line and exits 2.
 inline ParsedArgs parse_args_with(int argc, char** argv, std::vector<std::string> extra) {
   extra.insert(extra.end(), {"scale", "ranks", "quick!", "eps"});
-  svmutil::CliFlags flags(argc, argv,
-                          svmutil::with_engine_flags(svmutil::with_obs_flags(std::move(extra))));
-  const svmutil::ObsPaths obs = svmutil::apply_obs_flags(flags);
-  const svmutil::EngineChoice engine = svmutil::apply_engine_flags(flags);
-  BenchArgs args;
-  args.scale = flags.get_double("scale", 1.0);
-  args.quick = flags.get_bool("quick");
-  args.eps = flags.get_double("eps", 1e-3);
-  args.trace_out = obs.trace_out;
-  args.metrics_out = obs.metrics_out;
-  args.engine_backend = engine.backend;
-  args.engine_flavor = engine.flavor;
-  if (flags.has("ranks")) args.ranks = parse_rank_list(flags.get("ranks", ""));
-  if (args.quick) args.scale *= 0.25;
-  return ParsedArgs{std::move(flags), std::move(args)};
+  const std::vector<std::string> known =
+      svmutil::with_engine_flags(svmutil::with_obs_flags(std::move(extra)));
+  try {
+    svmutil::CliFlags flags(argc, argv, known);
+    const svmutil::ObsPaths obs = svmutil::apply_obs_flags(flags);
+    const svmutil::EngineChoice engine = svmutil::apply_engine_flags(flags);
+    BenchArgs args;
+    args.scale = flags.get_double("scale", 1.0);
+    args.quick = flags.get_bool("quick");
+    args.eps = flags.get_double("eps", 1e-3);
+    args.trace_out = obs.trace_out;
+    args.metrics_out = obs.metrics_out;
+    args.engine_backend = engine.backend;
+    args.engine_flavor = engine.flavor;
+    (void)svmkernel::engine_backend_from_string(args.engine_backend);  // validate early
+    (void)svmkernel::row_flavor_from_string(args.engine_flavor);
+    if (flags.has("ranks")) args.ranks = parse_rank_list(flags.get("ranks", ""));
+    if (args.quick) args.scale *= 0.25;
+    return ParsedArgs{std::move(flags), std::move(args)};
+  } catch (const std::logic_error& e) {  // invalid_argument, out_of_range
+    std::fprintf(stderr, "error: %s\n%s\n", e.what(),
+                 usage_line(argc > 0 ? argv[0] : "bench", known).c_str());
+    std::exit(2);
+  }
 }
 
 inline BenchArgs parse_args(int argc, char** argv) {

@@ -7,6 +7,11 @@
 // trace calls compiled in but the recorder DISABLED must run within 2% of
 // the same loop with no trace calls at all (each disabled call is one
 // relaxed atomic load). Exits non-zero on violation; used by check.sh --obs.
+// With --assert-collectives it runs the collective-latency gate instead: the
+// per-iteration SMO collectives at p=4 — the minloc + maxloc + bcast triple
+// and the fused allreduce_minmaxloc — timed as the minimum over interleaved
+// repeats, failing when the triple exceeds 15 us or the fused allreduce
+// 5 us. Used by check.sh --perf.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -92,6 +97,47 @@ int run_obs_overhead_guard() {
   return overhead < 0.02 ? 0 : 1;
 }
 
+int run_collective_gate() {
+  constexpr int kRanks = 4;
+  constexpr int kIters = 2000;
+  constexpr int kReps = 9;
+  constexpr std::size_t kPairBytes = 1024;  // a packed working pair, ~1 KB
+  constexpr double kTripleBudgetUs = 15.0;
+  constexpr double kFusedBudgetUs = 5.0;
+  const auto candidate = [](const svmmpi::Comm& comm, int i) {
+    return svmmpi::DoubleInt{static_cast<double>((comm.rank() * 7 + i) % 11), comm.rank()};
+  };
+  const auto [triple_s, fused_s] = interleaved_min_seconds(
+      kReps,
+      [&] {
+        svmmpi::run_spmd(kRanks, [&](svmmpi::Comm& comm) {
+          std::vector<std::byte> pair(kPairBytes);
+          for (int i = 0; i < kIters; ++i) {
+            benchmark::DoNotOptimize(comm.allreduce_minloc(candidate(comm, i)));
+            benchmark::DoNotOptimize(comm.allreduce_maxloc(candidate(comm, i)));
+            pair.resize(kPairBytes);
+            comm.bcast(pair, 0);
+          }
+        });
+      },
+      [&] {
+        svmmpi::run_spmd(kRanks, [&](svmmpi::Comm& comm) {
+          for (int i = 0; i < kIters; ++i)
+            benchmark::DoNotOptimize(
+                comm.allreduce_minmaxloc(candidate(comm, i), candidate(comm, i + 1)));
+        });
+      });
+  const double triple_us = triple_s / kIters * 1e6;
+  const double fused_us = fused_s / kIters * 1e6;
+  const bool ok = triple_us <= kTripleBudgetUs && fused_us <= kFusedBudgetUs;
+  std::printf("collective gate (p=%d, min of %d interleaved repeats x %d iterations):\n"
+              "  minloc + maxloc + bcast(%zu B): %.2f us (budget %.0f us)\n"
+              "  allreduce_minmaxloc:            %.2f us (budget %.0f us)\n%s\n",
+              kRanks, kReps, kIters, kPairBytes, triple_us, kTripleBudgetUs, fused_us,
+              kFusedBudgetUs, ok ? "OK" : "VIOLATED");
+  return ok ? 0 : 1;
+}
+
 void BM_Pt2PtRoundTrip(benchmark::State& state) {
   const std::size_t doubles = state.range(0);
   for (auto _ : state) {
@@ -167,10 +213,11 @@ BENCHMARK(BM_RingExchange)->Arg(1024)->Arg(32768);
 }  // namespace
 
 int main(int argc, char** argv) {
-  // The overhead guard replaces the benchmark run; strip the flag before
+  // The guards replace the benchmark run; strip their flags before
   // benchmark::Initialize (which rejects flags it does not know).
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--assert-obs-overhead") == 0) return run_obs_overhead_guard();
+    if (std::strcmp(argv[i], "--assert-collectives") == 0) return run_collective_gate();
   }
 
   // Before the microbenchmarks, print the alpha-beta model's predictions for

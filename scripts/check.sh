@@ -6,7 +6,7 @@
 #   scripts/check.sh --tier1    # only the tier-1 build + full ctest suite
 #   scripts/check.sh --asan     # only the ASan kernel/engine/cache tests
 #   scripts/check.sh --tsan     # only the TSan chaos/fault-tolerance + obs tests
-#   scripts/check.sh --perf     # only the pipelined-reconstruction perf smoke
+#   scripts/check.sh --perf     # only the reconstruction perf smoke + collective latency gate
 #   scripts/check.sh --obs      # only the observability end-to-end checks
 #   scripts/check.sh --sched    # only the multi-tenant scheduler checks
 #   scripts/check.sh --simd     # only the SIMD/precision flavor checks
@@ -19,7 +19,8 @@
 # KernelEngine scatter buffers that a plain run cannot see.
 #
 # The TSan pass rebuilds under -DSVM_SANITIZE=thread (build-tsan/) and runs
-# the `chaos`- and `obs`-labelled ctest suites: the fault-injection,
+# the `chaos`- and `obs`-labelled ctest suites: the lock-free collective
+# round stress and spin-phase fault tests, the fault-injection,
 # checkpoint/restart and elastic shrink-world tests plus the trace-recorder
 # concurrency tests. Failure detection, World::mark_failed poking,
 # Comm::agree, the generation hand-off in the elastic trainer and the
@@ -121,18 +122,23 @@ if $run_tsan; then
   echo "=== tsan: chaos/fault-tolerance tests under -fsanitize=thread ==="
   cmake -B build-tsan -S . -DSVM_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j --target \
-    test_mpisim_fault test_chaos_recovery test_elastic_shrink test_gradrecon_pipeline test_obs
+    test_mpisim_fault test_mpisim_rounds test_chaos_recovery test_elastic_shrink \
+    test_gradrecon_pipeline test_obs
   (cd build-tsan && ctest -L 'chaos|obs' --output-on-failure -j "$(nproc)")
 fi
 
 if $run_perf; then
   echo "=== perf smoke: pipelined reconstruction must not regress serial at p=4 ==="
   cmake -B build -S . >/dev/null
-  cmake --build build -j --target bench_fig8_gradrecon
+  cmake --build build -j --target bench_fig8_gradrecon bench_micro_mpisim
   # --assert makes the bench exit nonzero if the pipelined ring's
   # reconstruction wall time exceeds the serial ring's, if the modeled
   # network seconds fail to drop, or if bitwise model parity breaks.
   (cd build && ./bench/bench_fig8_gradrecon --quick --ranks 4 --assert)
+  # Collective latency at p=4: the minloc + maxloc + bcast triple must stay
+  # within 15 us and the fused allreduce_minmaxloc within 5 us (minimum of
+  # interleaved repeats, so a noisy neighbour cannot fail it alone).
+  ./build/bench/bench_micro_mpisim --assert-collectives
 fi
 
 if $run_obs; then

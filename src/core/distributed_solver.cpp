@@ -130,16 +130,15 @@ void DistributedSolver::select_violators() {
     if (in_low_set(set) && gamma_[i] > low.value)
       low = svmmpi::DoubleInt{gamma_[i], static_cast<std::int64_t>(g)};
   }
-  const svmmpi::DoubleInt global_up = comm_.allreduce_minloc(up);
-  const svmmpi::DoubleInt global_low = comm_.allreduce_maxloc(low);
-  beta_up_ = global_up.value;
-  beta_low_ = global_low.value;
-  i_up_ = global_up.index;
-  i_low_ = global_low.index;
+  const svmmpi::MinMaxLoc global = comm_.allreduce_minmaxloc(up, low);
+  beta_up_ = global.min.value;
+  beta_low_ = global.max.value;
+  i_up_ = global.min.index;
+  i_low_ = global.max.index;
   stats_.final_beta_up = beta_up_;
   stats_.final_beta_low = beta_low_;
   // The convergence gap as a counter track: rank 0 only, since the value is
-  // identical on every rank after the Allreduce pair.
+  // identical on every rank after the fused Allreduce.
   if (comm_.rank() == 0) svmobs::trace_counter("gap", beta_low_ - beta_up_);
 }
 
@@ -415,12 +414,11 @@ void DistributedSolver::refresh_bounds_all_samples() {
     if (in_low_set(set) && gamma_[i] > low.value)
       low = svmmpi::DoubleInt{gamma_[i], static_cast<std::int64_t>(g)};
   }
-  const svmmpi::DoubleInt global_up = comm_.allreduce_minloc(up);
-  const svmmpi::DoubleInt global_low = comm_.allreduce_maxloc(low);
-  beta_up_ = global_up.value;
-  beta_low_ = global_low.value;
-  i_up_ = global_up.index;
-  i_low_ = global_low.index;
+  const svmmpi::MinMaxLoc global = comm_.allreduce_minmaxloc(up, low);
+  beta_up_ = global.min.value;
+  beta_low_ = global.max.value;
+  i_up_ = global.min.index;
+  i_low_ = global.max.index;
   stats_.final_beta_up = beta_up_;
   stats_.final_beta_low = beta_low_;
 }

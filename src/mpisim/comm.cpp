@@ -204,7 +204,7 @@ std::vector<std::byte> Comm::collective(std::vector<std::byte> contribution,
   };
   std::vector<std::byte> result;
   try {
-    result = world_->context(context_id_).run(rank_, std::move(contribution), combine, interrupt);
+    result = context_->run(rank_, std::move(contribution), combine, interrupt);
   } catch (const RendezvousInterrupted&) {
     check_cancelled();
     throw_rank_lost();
@@ -238,32 +238,46 @@ namespace {
 
 // Rank-ordered loc-reductions: deterministic and index-tie-broken so the
 // distributed solvers select the identical working set as the sequential one.
-std::vector<std::byte> combine_minloc(const std::vector<std::vector<std::byte>>& parts) {
-  DoubleInt best{};
-  bool first = true;
-  for (const auto& p : parts) {
-    const auto cand = detail::from_bytes<DoubleInt>(p)[0];
-    if (first || cand.value < best.value ||
-        (cand.value == best.value && cand.index < best.index)) {
-      best = cand;
-      first = false;
-    }
+bool min_wins(const DoubleInt& cand, const DoubleInt& best) {
+  return cand.value < best.value || (cand.value == best.value && cand.index < best.index);
+}
+
+bool max_wins(const DoubleInt& cand, const DoubleInt& best) {
+  return cand.value > best.value || (cand.value == best.value && cand.index < best.index);
+}
+
+/// The `slot`-th DoubleInt of one rank's contribution.
+DoubleInt loc_at(const std::vector<std::byte>& part, std::size_t slot) {
+  if (part.size() < (slot + 1) * sizeof(DoubleInt))
+    throw std::runtime_error("svmmpi: loc-reduction contribution too short");
+  DoubleInt value;
+  std::memcpy(&value, part.data() + slot * sizeof(DoubleInt), sizeof(DoubleInt));
+  return value;
+}
+
+DoubleInt reduce_loc(const std::vector<std::vector<std::byte>>& parts, std::size_t slot,
+                     bool (*wins)(const DoubleInt&, const DoubleInt&)) {
+  DoubleInt best = loc_at(parts[0], slot);
+  for (std::size_t r = 1; r < parts.size(); ++r) {
+    const DoubleInt cand = loc_at(parts[r], slot);
+    if (wins(cand, best)) best = cand;
   }
+  return best;
+}
+
+std::vector<std::byte> combine_minloc(const std::vector<std::vector<std::byte>>& parts) {
+  const DoubleInt best = reduce_loc(parts, 0, min_wins);
   return detail::to_bytes(std::span<const DoubleInt>(&best, 1));
 }
 
 std::vector<std::byte> combine_maxloc(const std::vector<std::vector<std::byte>>& parts) {
-  DoubleInt best{};
-  bool first = true;
-  for (const auto& p : parts) {
-    const auto cand = detail::from_bytes<DoubleInt>(p)[0];
-    if (first || cand.value > best.value ||
-        (cand.value == best.value && cand.index < best.index)) {
-      best = cand;
-      first = false;
-    }
-  }
+  const DoubleInt best = reduce_loc(parts, 0, max_wins);
   return detail::to_bytes(std::span<const DoubleInt>(&best, 1));
+}
+
+std::vector<std::byte> combine_minmaxloc(const std::vector<std::vector<std::byte>>& parts) {
+  const DoubleInt best[2] = {reduce_loc(parts, 0, min_wins), reduce_loc(parts, 1, max_wins)};
+  return detail::to_bytes(std::span<const DoubleInt>(best, 2));
 }
 
 }  // namespace
@@ -278,6 +292,14 @@ DoubleInt Comm::allreduce_maxloc(DoubleInt mine) {
   auto out = collective(detail::to_bytes(std::span<const DoubleInt>(&mine, 1)), combine_maxloc,
                         ModelAs::tree, sizeof(DoubleInt), "allreduce_maxloc");
   return detail::from_bytes<DoubleInt>(out)[0];
+}
+
+MinMaxLoc Comm::allreduce_minmaxloc(DoubleInt min_candidate, DoubleInt max_candidate) {
+  const DoubleInt mine[2] = {min_candidate, max_candidate};
+  auto out = collective(detail::to_bytes(std::span<const DoubleInt>(mine, 2)), combine_minmaxloc,
+                        ModelAs::tree, sizeof(mine), "allreduce_minmaxloc");
+  const std::vector<DoubleInt> both = detail::from_bytes<DoubleInt>(out);
+  return MinMaxLoc{both[0], both[1]};
 }
 
 std::vector<std::byte> detail::concat_with_sizes(
@@ -321,7 +343,7 @@ std::vector<int> Comm::agree(const std::vector<int>& values) {
     return local;
   };
   const auto late_values = [this] { return dead_members(); };
-  return world_->context(context_id_).agree(rank_, mine, dead_local, late_values);
+  return context_->agree(rank_, mine, dead_local, late_values);
 }
 
 Comm Comm::shrink(std::uint64_t context_salt) {

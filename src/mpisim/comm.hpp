@@ -32,6 +32,12 @@ struct DoubleInt {
   std::int64_t index = -1;
 };
 
+/// Result of the fused MINLOC/MAXLOC allreduce.
+struct MinMaxLoc {
+  DoubleInt min;
+  DoubleInt max;
+};
+
 namespace detail {
 
 template <typename T>
@@ -104,7 +110,11 @@ template <typename T>
 class Comm {
  public:
   Comm(World* world, std::shared_ptr<const std::vector<int>> group, int rank, int context_id)
-      : world_(world), group_(std::move(group)), rank_(rank), context_id_(context_id) {}
+      : world_(world),
+        group_(std::move(group)),
+        rank_(rank),
+        context_id_(context_id),
+        context_(&world->context(context_id)) {}
 
   [[nodiscard]] int rank() const noexcept { return rank_; }
   [[nodiscard]] int size() const noexcept { return static_cast<int>(group_->size()); }
@@ -256,6 +266,10 @@ class Comm {
   [[nodiscard]] DoubleInt allreduce_minloc(DoubleInt mine);
   /// MAXLOC: largest value wins; value ties break toward the smaller index.
   [[nodiscard]] DoubleInt allreduce_maxloc(DoubleInt mine);
+  /// MINLOC of `min_candidate` and MAXLOC of `max_candidate` in ONE 32-byte
+  /// collective, with the same tie-breaking as the separate calls. Modeled as
+  /// one tree reduction: one latency term where the pair pays two.
+  [[nodiscard]] MinMaxLoc allreduce_minmaxloc(DoubleInt min_candidate, DoubleInt max_candidate);
 
   /// Gather one value from every rank; result indexed by rank.
   template <typename T>
@@ -412,6 +426,7 @@ class Comm {
   std::shared_ptr<const std::vector<int>> group_;
   int rank_;
   int context_id_;
+  CollectiveContext* context_;  ///< resolved once: collectives take no registry lock
 };
 
 }  // namespace svmmpi

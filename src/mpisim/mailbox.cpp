@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "mpisim/fault.hpp"
+#include "mpisim/spin.hpp"
 
 namespace svmmpi {
 
@@ -12,6 +13,7 @@ void Mailbox::push(Message message) {
     std::lock_guard lock(mutex_);
     queue_.push_back(std::move(message));
   }
+  events_.fetch_add(1, std::memory_order_release);
   available_.notify_all();
 }
 
@@ -30,6 +32,7 @@ bool Mailbox::find_match_locked(int context, int source, int tag, std::size_t& i
 }
 
 Message Mailbox::pop(int context, int source, int tag, const std::function<bool()>& interrupt) {
+  const auto entry = std::chrono::steady_clock::now();
   std::unique_lock lock(mutex_);
   std::size_t index = 0;
   bool interrupted = false;
@@ -40,12 +43,23 @@ Message Mailbox::pop(int context, int source, int tag, const std::function<bool(
     interrupted = interrupt && interrupt();
     return interrupted;
   };
+  // Spin (unlocked) on the event counter for a bounded time before parking:
+  // the owner->root hop of a working-pair fetch usually lands within
+  // microseconds. Every push, poke and abort bumps the counter, so the
+  // predicate is re-evaluated exactly when it could have changed.
+  while (!ready()) {
+    const std::uint64_t seen = events_.load(std::memory_order_relaxed);
+    lock.unlock();
+    const bool moved = detail::spin_until(
+        [&] { return events_.load(std::memory_order_acquire) != seen; }, entry);
+    lock.lock();
+    if (!moved) break;
+  }
   if (timeout_s_ <= 0.0) {
     available_.wait(lock, ready);
   } else {
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                              std::chrono::duration<double>(timeout_s_));
+    const auto deadline = entry + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                                      std::chrono::duration<double>(timeout_s_));
     if (!available_.wait_until(lock, deadline, ready))
       throw TimeoutError(owner_rank_, source, tag, timeout_s_, "blocking receive");
   }
@@ -96,6 +110,7 @@ void Mailbox::abort() {
     std::lock_guard lock(mutex_);
     aborted_ = true;
   }
+  events_.fetch_add(1, std::memory_order_release);
   available_.notify_all();
 }
 
@@ -103,6 +118,7 @@ void Mailbox::poke() {
   // Take the lock so a poke cannot slip between a waiter's predicate check
   // and its wait, which would lose the wakeup.
   { std::lock_guard lock(mutex_); }
+  events_.fetch_add(1, std::memory_order_release);
   available_.notify_all();
 }
 

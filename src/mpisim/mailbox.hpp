@@ -4,6 +4,7 @@
 // MPI's non-overtaking guarantee.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -54,10 +55,10 @@ class Mailbox {
   void push(Message message);
 
   /// Blocks until a message matching (context, source, tag) is available and
-  /// removes it. Wildcards kAnySource/kAnyTag match anything; context always
+  /// removes it; spins for a bounded time (spin.hpp) before parking. Wildcards kAnySource/kAnyTag match anything; context always
   /// matches exactly. Throws WorldAborted if abort() is called while waiting,
   /// and TimeoutError naming (rank, source, tag) once the configured deadline
-  /// elapses with no matching message. When `interrupt` is provided and
+  /// (counted from entry, spin included) elapses with no matching message. When `interrupt` is provided and
   /// becomes true while waiting (re-checked whenever poke() fires), pop
   /// throws RendezvousInterrupted — the elastic path uses this to wake a
   /// receiver whose awaited peer has been marked failed, without waiting for
@@ -97,6 +98,8 @@ class Mailbox {
   int owner_rank_ = -1;
   double timeout_s_ = 0.0;
   bool aborted_ = false;
+  /// Bumped by push, poke and abort: what a spinning pop() watches.
+  std::atomic<std::uint64_t> events_{0};
 };
 
 }  // namespace svmmpi

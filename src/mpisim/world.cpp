@@ -51,6 +51,7 @@ void World::mark_failed(int world_rank, bool permanent) {
     const auto it = std::lower_bound(failed_.begin(), failed_.end(), world_rank);
     if (it != failed_.end() && *it == world_rank) return;
     failed_.insert(it, world_rank);
+    any_failed_.store(true);
   }
   // Poke OUTSIDE failed_mutex_: agree()'s dead_local predicate runs under a
   // context mutex and calls failed_ranks(); holding failed_mutex_ here while
@@ -61,14 +62,12 @@ void World::mark_failed(int world_rank, bool permanent) {
 }
 
 bool World::is_failed(int world_rank) const {
+  if (!any_failed_.load()) return false;
   std::lock_guard lock(failed_mutex_);
   return std::binary_search(failed_.begin(), failed_.end(), world_rank);
 }
 
-bool World::any_failed() const {
-  std::lock_guard lock(failed_mutex_);
-  return !failed_.empty();
-}
+bool World::any_failed() const { return any_failed_.load(); }
 
 bool World::failure_is_permanent(int world_rank) const {
   std::lock_guard lock(failed_mutex_);
@@ -98,6 +97,7 @@ void World::cancel_context(int id) {
     const auto it = std::lower_bound(cancelled_.begin(), cancelled_.end(), id);
     if (it != cancelled_.end() && *it == id) return;
     cancelled_.insert(it, id);
+    any_cancelled_.store(true);
   }
   // Same lock-order discipline as mark_failed: poke outside the registry of
   // cancelled ids, since waiters' predicates call context_cancelled().
@@ -107,6 +107,7 @@ void World::cancel_context(int id) {
 }
 
 bool World::context_cancelled(int id) const {
+  if (!any_cancelled_.load()) return false;
   std::lock_guard lock(cancelled_mutex_);
   return std::binary_search(cancelled_.begin(), cancelled_.end(), id);
 }

@@ -93,6 +93,8 @@ class World {
   // --- internals used by Comm -------------------------------------------
   [[nodiscard]] Mailbox& mailbox(int world_rank) { return *mailboxes_[world_rank]; }
   [[nodiscard]] FaultInjector* injector() const noexcept { return injector_; }
+  /// Contexts are never erased, so a reference stays valid for the World's
+  /// lifetime (Comm resolves its context once, at construction).
   [[nodiscard]] CollectiveContext& context(int id);
   /// Allocates a new collective context for a sub-communicator of `size`
   /// ranks and returns its id. Thread-safe; called once per new group.
@@ -110,6 +112,12 @@ class World {
   std::map<int, std::unique_ptr<CollectiveContext>> contexts_;
   std::map<std::pair<std::vector<int>, std::uint64_t>, int> group_contexts_;
   int next_context_id_ = 0;
+
+  // Fast-path flags: set (before the poke) by the first cancel/failure, so
+  // the fault-free path answers context_cancelled / is_failed / any_failed
+  // with one atomic load instead of taking the registry mutex.
+  std::atomic<bool> any_cancelled_{false};
+  std::atomic<bool> any_failed_{false};
 
   mutable std::mutex cancelled_mutex_;
   std::vector<int> cancelled_;  ///< sorted cancelled context ids
