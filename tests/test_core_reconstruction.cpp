@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 
 #include "core/objective.hpp"
 #include "core/sample_block.hpp"
@@ -34,6 +35,11 @@ struct Case {
   const char* heuristic;
   int ranks;
 };
+
+// Prints the case by value. Without it gtest prints the raw bytes of the
+// struct, pointer included, and the ctest names that gtest_discover_tests
+// derives from that print change with every build.
+void PrintTo(const Case& c, std::ostream* os) { *os << c.heuristic << "_r" << c.ranks; }
 
 class ReconstructionP : public ::testing::TestWithParam<Case> {};
 

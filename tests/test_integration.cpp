@@ -3,6 +3,8 @@
 // baseline) on datasets with held-out test sets.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "baseline/libsvm_like.hpp"
 #include "core/trainer.hpp"
 #include "data/zoo.hpp"
@@ -30,6 +32,12 @@ struct ZooCase {
   int ranks;
   double scale;
 };
+
+// Prints the case by value, so the ctest names derived from it are the same
+// in every build (gtest's default print shows the struct's pointer bytes).
+void PrintTo(const ZooCase& c, std::ostream* os) {
+  *os << c.dataset << "_" << c.heuristic << "_r" << c.ranks;
+}
 
 class ZooSweepP : public ::testing::TestWithParam<ZooCase> {};
 
