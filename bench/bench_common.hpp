@@ -40,10 +40,10 @@ struct BenchArgs {
   double eps = 1e-3;
   std::string trace_out;       ///< --trace-out: Chrome trace of the runs
   std::string metrics_out;     ///< --metrics-out: run report of every config
-  /// --engine-backend / --engine-flavor: kernel data-path selection for the
-  /// solver runs (training enforces f64; the flavor also picks the baseline's
-  /// cached Q-row storage). Kept as names so invalid values fail loudly at
-  /// conversion time.
+  /// --engine-backend / --engine-flavor: the backend the solver runs train
+  /// on (always in f64), and the flavor of the baseline's cached Q-row
+  /// storage. Kept as names so invalid values fail loudly at conversion
+  /// time.
   std::string engine_backend = "dense_scatter";
   std::string engine_flavor = "f64";
 };
@@ -135,12 +135,11 @@ inline svmcore::SolverParams params_for(const svmdata::ZooEntry& entry, double e
   return p;
 }
 
-/// BenchArgs-aware variant: also applies the --engine-backend /
-/// --engine-flavor selection (name conversion throws on unknown values).
+/// BenchArgs-aware variant: also applies the --engine-backend selection
+/// (name conversion throws on unknown values).
 inline svmcore::SolverParams params_for(const svmdata::ZooEntry& entry, const BenchArgs& args) {
   svmcore::SolverParams p = params_for(entry, args.eps);
   p.engine_backend = svmkernel::engine_backend_from_string(args.engine_backend);
-  p.engine_flavor = svmkernel::row_flavor_from_string(args.engine_flavor);
   return p;
 }
 
@@ -260,7 +259,7 @@ inline int run_figure_bench(const std::string& figure, const std::string& datase
   const svmdata::Dataset train = svmdata::make_train(entry, scale);
   std::printf(
       "container workload: n=%zu, d=%zu, density %.2f%%, C=%g, sigma^2=%g, "
-      "engine=%s/%s\n\n",
+      "engine=%s, baseline Q flavor=%s\n\n",
       train.size(), train.dim(), 100.0 * train.X.density(), entry.C, entry.sigma_sq,
       args.engine_backend.c_str(), args.engine_flavor.c_str());
 

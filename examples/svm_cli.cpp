@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "baseline/libsvm_like.hpp"
@@ -42,8 +43,8 @@ int usage(const char* program) {
       "               broadcasts; [--pbm-blocks B] fixes the block count, default\n"
       "               = ranks)\n"
       "              [--w-pos W] [--w-neg W]\n"
-      "              [--engine-backend reference|dense_scatter|cached|simd]\n"
-      "              [--engine-flavor f64]   (training requires f64; --baseline\n"
+      "              [--engine-backend reference|dense_scatter|simd]\n"
+      "              [--engine-flavor f64]   (the solvers train in f64; --baseline\n"
       "               accepts f32/f16/i8 for its compressed Q-row cache)\n"
       "              [--log-level L] [--trace-out trace.json] [--metrics-out m.json]\n"
       "  %s predict  <data> <model-in> [--out predictions.txt]\n"
@@ -107,8 +108,10 @@ int run_train(const svmutil::CliFlags& flags) {
     params.kernel = kernel;
     params.weight_positive = flags.get_double("w-pos", 1.0);
     params.weight_negative = flags.get_double("w-neg", 1.0);
+    if (svmkernel::row_flavor_from_string(engine.flavor) != svmkernel::RowFlavor::f64)
+      throw std::invalid_argument("--engine-flavor " + engine.flavor +
+                                  " applies to --baseline only; the solvers train in f64");
     params.engine_backend = svmkernel::engine_backend_from_string(engine.backend);
-    params.engine_flavor = svmkernel::row_flavor_from_string(engine.flavor);
     params.algo = svmcore::solver_algo_from_string(flags.get("solver", "smo"));
     params.pbm_blocks = static_cast<int>(flags.get_int("pbm-blocks", 0));
     svmcore::TrainOptions options;

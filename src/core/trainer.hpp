@@ -94,7 +94,6 @@ struct TrainResult {
   /// Engine configuration that produced this result, mirrored into the run
   /// report / trace metadata so artifacts record their provenance.
   std::string engine_backend;
-  std::string engine_flavor;
   /// Training algorithm that produced this result ("smo" or "pbm").
   std::string solver_algo;
 

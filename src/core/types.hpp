@@ -59,15 +59,9 @@ struct SolverParams {
 
   /// Kernel-evaluation strategy for the solver hot paths. `dense_scatter`
   /// (default) is bit-identical to `reference` — see kernel_engine.hpp — and
-  /// so is `simd` at flavor f64, so this is a performance knob, never a
-  /// results knob.
+  /// so is `simd` (training engines are always f64), so this is a
+  /// performance knob, never a results knob.
   svmkernel::EngineBackend engine_backend = svmkernel::EngineBackend::dense_scatter;
-
-  /// Resident row precision of the engine (row_store.hpp). TRAINING REQUIRES
-  /// f64: the solvers throw on any reduced-precision flavor so optimization
-  /// stays bit-exact double. f32/f16/i8 are for the prediction path and the
-  /// baselines' cached Q rows, where they are accuracy-gated.
-  svmkernel::RowFlavor engine_flavor = svmkernel::RowFlavor::f64;
 
   /// Per-class cost weights (libsvm's -wi): the box constraint of a sample
   /// with label y is C * (y > 0 ? weight_positive : weight_negative). Used

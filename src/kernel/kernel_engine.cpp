@@ -19,7 +19,6 @@ std::string to_string(EngineBackend backend) {
   switch (backend) {
     case EngineBackend::reference: return "reference";
     case EngineBackend::dense_scatter: return "dense_scatter";
-    case EngineBackend::cached: return "cached";
     case EngineBackend::simd: return "simd";
   }
   return "?";
@@ -28,34 +27,28 @@ std::string to_string(EngineBackend backend) {
 EngineBackend engine_backend_from_string(const std::string& name) {
   if (name == "reference") return EngineBackend::reference;
   if (name == "dense_scatter") return EngineBackend::dense_scatter;
-  if (name == "cached") return EngineBackend::cached;
   if (name == "simd") return EngineBackend::simd;
-  throw std::invalid_argument("engine_backend_from_string: unknown backend '" + name + "'");
+  throw std::invalid_argument("engine_backend_from_string: unknown backend '" + name +
+                              "' (expected reference|dense_scatter|simd)");
 }
 
 const char* trace_label(EngineBackend backend) noexcept {
   switch (backend) {
     case EngineBackend::reference: return "backend_reference";
     case EngineBackend::dense_scatter: return "backend_dense_scatter";
-    case EngineBackend::cached: return "backend_cached";
     case EngineBackend::simd: return "backend_simd";
   }
   return "backend_unknown";
 }
 
 void KernelEngine::init_flavored(std::size_t cache_budget_bytes) {
-  if (flavor_ != RowFlavor::f64 &&
-      (backend_ == EngineBackend::reference || backend_ == EngineBackend::dense_scatter))
+  if (flavor_ != RowFlavor::f64 && backend_ != EngineBackend::simd && cache_budget_bytes == 0)
     throw std::invalid_argument("KernelEngine: flavored rows ('" + to_string(flavor_) +
-                                "') require the simd or cached backend");
-  if (backend_ == EngineBackend::cached) {
-    if (cache_budget_bytes > 0)
-      cache_ = std::make_unique<KernelRowCache>(cache_budget_bytes, flavor_);
-    else if (flavor_ != RowFlavor::f64)
-      throw std::invalid_argument(
-          "KernelEngine: flavored cached backend needs a cache budget (rows are "
-          "encoded on insert; without a cache there is nothing to flavor)");
-  }
+                                "') need the simd backend or a cache budget (rows are "
+                                "encoded on insert; without either there is nothing to "
+                                "flavor)");
+  if (cache_budget_bytes > 0)
+    cache_ = std::make_unique<KernelRowCache>(cache_budget_bytes, flavor_);
   if (backend_ == EngineBackend::simd) {
     // Borrowed norm spans may be longer than the matrix; the store covers
     // exactly the rows that exist.
@@ -76,20 +69,6 @@ KernelEngine::KernelEngine(const Kernel& kernel, const svmdata::CsrMatrix& X,
     owned_norms_[i - norm_begin] = svmdata::CsrMatrix::squared_norm(X.row(i));
   norms_ = owned_norms_;
   init_flavored(cache_budget_bytes);
-}
-
-KernelEngine::KernelEngine(const Kernel& kernel, const svmdata::CsrMatrix& X,
-                           EngineBackend backend, std::span<const double> sq_norms,
-                           RowFlavor flavor)
-    : kernel_(kernel),
-      X_(X),
-      backend_(backend),
-      flavor_(flavor),
-      norm_begin_(0),
-      norms_(sq_norms) {
-  if (sq_norms.size() < X.rows())
-    throw std::invalid_argument("KernelEngine: borrowed norms shorter than matrix");
-  init_flavored(0);
 }
 
 KernelEngine::KernelEngine(const KernelParams& params, const svmdata::CsrMatrix& X,

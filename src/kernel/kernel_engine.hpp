@@ -1,7 +1,8 @@
 // KernelEngine: the one batched kernel-evaluation layer every hot path goes
 // through. The engine owns per-solve hot state — precomputed row squared
 // norms for its slice of the matrix, a dense scatter buffer for the current
-// query row(s), an optional LRU row cache — and exposes batched operations:
+// query row(s), an optional LRU row cache on any backend — and exposes
+// batched operations:
 //
 //   eval_pair_rows / eval_pair_range   fused up/low evaluation: both query
 //       rows are scattered into one interleaved dense accumulator, then every
@@ -19,16 +20,18 @@
 //   reference      every value via Kernel::eval, i.e. the CsrMatrix::dot
 //                  sparse merge join — the semantics ground truth;
 //   dense_scatter  the fused fast path described above;
-//   cached         dense_scatter plus the KernelRowCache for k_row_floats;
 //   simd           the engine's norm-range rows materialized in a dense
 //                  panel RowStore (lane-per-row, see row_store.hpp) and
 //                  evaluated with the runtime-dispatched SIMD kernels.
+// The Q-row cache is a layer, not a backend: a cache budget > 0 puts a
+// KernelRowCache in front of k_row_floats on whichever backend fills rows.
 //
 // Row flavors (RowFlavor, row_store.hpp) select the resident precision of
 // the simd store and of cached Q rows: f64 is exact; f32/f16/i8 trade
-// precision for footprint and bandwidth. The scalar backends (reference,
-// dense_scatter) only accept f64; training solvers additionally refuse any
-// flavored engine so optimization stays bit-exact double — flavors are a
+// precision for footprint and bandwidth. A reduced flavor needs something
+// to hold it — the simd RowStore or a row cache — so a scalar backend
+// without a cache budget accepts only f64. The training solvers always
+// build f64 engines, so optimization stays bit-exact double; flavors are a
 // prediction/Q-cache feature, accuracy-gated by tests and bench_precision.
 //
 // Parity guarantee: dense_scatter is BIT-IDENTICAL to reference, not merely
@@ -74,7 +77,7 @@
 
 namespace svmkernel {
 
-enum class EngineBackend { reference, dense_scatter, cached, simd };
+enum class EngineBackend { reference, dense_scatter, simd };
 
 [[nodiscard]] std::string to_string(EngineBackend backend);
 [[nodiscard]] EngineBackend engine_backend_from_string(const std::string& name);
@@ -97,11 +100,11 @@ class KernelEngine {
  public:
   /// Engine over rows [norm_begin, norm_end) of `X` (a distributed rank's
   /// local block); squared norms for that slice are computed on
-  /// construction. `cache_budget_bytes` > 0 enables the row cache used by
-  /// k_row_floats (the `cached` backend; ignored otherwise). `flavor`
-  /// selects the resident row precision of the simd store / cached Q rows;
-  /// the scalar backends require f64. The engine keeps references to
-  /// `kernel` and `X` — both must outlive it.
+  /// construction. `cache_budget_bytes` > 0 puts the row cache in front of
+  /// k_row_floats, on any backend. `flavor` selects the resident row
+  /// precision of the simd store / cached Q rows; without either of those a
+  /// reduced flavor is rejected. The engine keeps references to `kernel`
+  /// and `X` — both must outlive it.
   KernelEngine(const Kernel& kernel, const svmdata::CsrMatrix& X, EngineBackend backend,
                std::size_t norm_begin, std::size_t norm_end,
                std::size_t cache_budget_bytes = 0, RowFlavor flavor = RowFlavor::f64);
@@ -111,13 +114,10 @@ class KernelEngine {
                std::size_t cache_budget_bytes = 0, RowFlavor flavor = RowFlavor::f64)
       : KernelEngine(kernel, X, backend, 0, X.rows(), cache_budget_bytes, flavor) {}
 
-  /// Borrowed-norms form: reuse already-computed squared norms for all of
-  /// `X` instead of recomputing (the free eval_rows entry point).
-  KernelEngine(const Kernel& kernel, const svmdata::CsrMatrix& X, EngineBackend backend,
-               std::span<const double> sq_norms, RowFlavor flavor = RowFlavor::f64);
-
   /// Owning-kernel form for callers without a long-lived Kernel (model
-  /// scoring): the engine constructs and owns the evaluator itself.
+  /// scoring): the engine constructs and owns the evaluator itself, and
+  /// borrows `sq_norms` (||X.row(i)||^2 for every row) instead of
+  /// recomputing them.
   KernelEngine(const KernelParams& params, const svmdata::CsrMatrix& X,
                EngineBackend backend, std::span<const double> sq_norms,
                RowFlavor flavor = RowFlavor::f64);
@@ -241,7 +241,7 @@ class KernelEngine {
   void set_row_scale(std::span<const double> scale);
 
   /// Row i of the (scaled) kernel matrix as floats, columns [0, len).
-  /// Served from the LRU cache when the `cached` backend has a budget; the
+  /// Served from the LRU cache when the engine has a cache budget; the
   /// returned span stays valid until the next k_row_floats call (the cache
   /// pins it — see KernelRowCache::lookup). Counts `len` kernel
   /// evaluations on a miss and none on a hit, matching the per-element

@@ -57,8 +57,8 @@ ObsPaths apply_obs_flags(const CliFlags& flags);
 /// convert with engine_backend_from_string / row_flavor_from_string (which
 /// reject unknown names with a clear error).
 struct EngineChoice {
-  std::string backend;  ///< --engine-backend: reference|dense_scatter|cached|simd
-  std::string flavor;   ///< --engine-flavor: f64|f32|f16|i8
+  std::string backend;  ///< --engine-backend: reference|dense_scatter|simd
+  std::string flavor;   ///< --engine-flavor: f64|f32|f16|i8 (Q-row cache / prediction)
 };
 
 /// Appends the standard engine flags ("engine-backend", "engine-flavor") to a

@@ -57,6 +57,12 @@ struct ParityCase {
   double scale;
 };
 
+// Prints the case by value, so the ctest names derived from it are the same
+// in every build (gtest's default print shows the struct's pointer bytes).
+void PrintTo(const ParityCase& c, std::ostream* os) {
+  *os << c.dataset << "_" << c.heuristic << "_r" << c.ranks;
+}
+
 class ModelParityP : public ::testing::TestWithParam<ParityCase> {};
 
 TEST_P(ModelParityP, DenseScatterModelBitIdenticalToReference) {

@@ -177,6 +177,14 @@ TEST_P(EngineParityP, EvalRowsAndRangeBitIdenticalAcrossBackends) {
   fused.eval_rows(d.X.row(7), fused.sq_norm(7), 0, n, b, /*parallel=*/true);
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(a[i], b[i]);
 
+  // The serial sweep matches the parallel one, and a sub-range [10, 15)
+  // writes its rows from out[0] on.
+  std::vector<double> serial(n), sub(5);
+  fused.eval_rows(d.X.row(7), fused.sq_norm(7), 0, n, serial);
+  fused.eval_rows(d.X.row(7), fused.sq_norm(7), 10, 15, sub);
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(serial[i], b[i]);
+  for (std::size_t k = 0; k < sub.size(); ++k) EXPECT_EQ(sub[k], a[10 + k]);
+
   // eval_pair_range == eval_pair_rows over the contiguous index list.
   std::vector<std::uint32_t> all(n);
   std::iota(all.begin(), all.end(), 0u);
@@ -251,29 +259,40 @@ TEST(KernelEngineTest, SliceEngineMatchesFullEngineOnItsRange) {
 // --- cached float rows -------------------------------------------------------
 
 TEST(KernelEngineTest, KRowFloatsMatchesUnscaledKernelValues) {
+  // The row cache is a layer: any backend takes a budget, and the f32 cache
+  // flavor keeps the exact float rows.
   const Dataset d = parity_dataset();
   const Kernel kernel(params_for(KernelType::rbf));
-  KernelEngine engine(kernel, d.X, EngineBackend::cached, /*cache_budget_bytes=*/1 << 20);
   KernelEngine ref(kernel, d.X, EngineBackend::reference);
-
   const std::size_t n = d.size();
-  const std::span<const float> row = engine.k_row_floats(5, n);
-  ASSERT_EQ(row.size(), n);
-  for (std::size_t j = 0; j < n; ++j) {
-    const double kij = ref.eval_one(d.X.row(5), d.X.row(j), ref.sq_norm(5), ref.sq_norm(j));
-    EXPECT_EQ(row[j], static_cast<float>(kij)) << "col " << j;
-  }
+  for (const EngineBackend backend :
+       {EngineBackend::reference, EngineBackend::dense_scatter, EngineBackend::simd}) {
+    for (const RowFlavor flavor : {RowFlavor::f64, RowFlavor::f32}) {
+      SCOPED_TRACE(to_string(backend) + "/" + to_string(flavor));
+      KernelEngine engine(kernel, d.X, backend, /*cache_budget_bytes=*/1 << 20, flavor);
 
-  // A second fetch of the same row is a cache hit with identical contents.
-  const std::span<const float> again = engine.k_row_floats(5, n);
-  for (std::size_t j = 0; j < n; ++j) EXPECT_EQ(row[j], again[j]);
-  EXPECT_GT(engine.cache_hit_rate(), 0.0);
+      const std::span<const float> row = engine.k_row_floats(5, n);
+      ASSERT_EQ(row.size(), n);
+      for (std::size_t j = 0; j < n; ++j) {
+        const double kij =
+            ref.eval_one(d.X.row(5), d.X.row(j), ref.sq_norm(5), ref.sq_norm(j));
+        EXPECT_EQ(row[j], static_cast<float>(kij)) << "col " << j;
+      }
+
+      // A second fetch of the same row is a cache hit with identical contents.
+      const std::vector<float> first(row.begin(), row.end());
+      const std::span<const float> again = engine.k_row_floats(5, n);
+      for (std::size_t j = 0; j < n; ++j) EXPECT_EQ(first[j], again[j]);
+      EXPECT_GT(engine.cache_hit_rate(), 0.0);
+      EXPECT_GT(engine.cache_bytes_resident(), 0u);
+    }
+  }
 }
 
 TEST(KernelEngineTest, KRowFloatsAppliesRowScaleLikeLibsvm) {
   const Dataset d = parity_dataset();
   const Kernel kernel(params_for(KernelType::rbf));
-  KernelEngine engine(kernel, d.X, EngineBackend::cached, 1 << 20);
+  KernelEngine engine(kernel, d.X, EngineBackend::dense_scatter, 1 << 20);
   engine.set_row_scale(d.y);
   KernelEngine ref(kernel, d.X, EngineBackend::reference);
 
@@ -293,7 +312,7 @@ TEST(KernelEngineTest, RowsStayCorrectUnderEvictionPressure) {
   const Dataset d = parity_dataset();
   const Kernel kernel(params_for(KernelType::rbf));
   const std::size_t n = d.size();
-  KernelEngine engine(kernel, d.X, EngineBackend::cached, n * sizeof(float));
+  KernelEngine engine(kernel, d.X, EngineBackend::dense_scatter, n * sizeof(float));
   KernelEngine ref(kernel, d.X, EngineBackend::reference);
 
   for (const std::size_t i : {2u, 8u, 2u, 8u, 5u}) {
@@ -397,9 +416,11 @@ TEST(KernelEngineTest, BatchPredictMatchesAccumulateRowsAcrossBackends) {
 
 TEST(KernelEngineTest, BackendNamesRoundTrip) {
   for (const EngineBackend b :
-       {EngineBackend::reference, EngineBackend::dense_scatter, EngineBackend::cached})
+       {EngineBackend::reference, EngineBackend::dense_scatter, EngineBackend::simd})
     EXPECT_EQ(engine_backend_from_string(to_string(b)), b);
   EXPECT_THROW((void)engine_backend_from_string("warp_drive"), std::invalid_argument);
+  // The row cache is a layer on any backend, not a backend of its own.
+  EXPECT_THROW((void)engine_backend_from_string("cached"), std::invalid_argument);
 }
 
 }  // namespace
