@@ -40,11 +40,8 @@ struct BenchArgs {
   double eps = 1e-3;
   std::string trace_out;       ///< --trace-out: Chrome trace of the runs
   std::string metrics_out;     ///< --metrics-out: run report of every config
-  /// --engine-backend / --engine-flavor: the backend the solver runs train
-  /// on (always in f64), and the flavor of the baseline's cached Q-row
-  /// storage. Kept as names so invalid values fail loudly at conversion
-  /// time.
-  std::string engine_backend = "dense_scatter";
+  /// --engine-flavor: the flavor of the baseline's cached Q-row storage (the
+  /// solvers always train in f64, on the strategy the data selects).
   std::string engine_flavor = "f64";
 };
 
@@ -68,7 +65,7 @@ inline std::vector<int> parse_rank_list(const std::string& list) {
 
 /// Parsed flags + the standard BenchArgs. Benches with extra flags (repeats,
 /// seeds, --assert, ...) read them from `flags`; everything standard —
-/// obs paths, engine selection, scale/ranks/quick/eps — is already applied
+/// obs paths, engine flavor, scale/ranks/quick/eps — is already applied
 /// and filled into `args`.
 struct ParsedArgs {
   svmutil::CliFlags flags;
@@ -83,29 +80,24 @@ inline std::string usage_line(const std::string& program, const std::vector<std:
   return line;
 }
 
-/// One-call flag wiring shared by every bench: appends the standard obs +
-/// engine flags (and scale/ranks/quick/eps) to the bench's own flag list,
-/// parses argv, applies --log-level, and fills BenchArgs. This is the single
-/// copy of the with_engine_flags(with_obs_flags(...)) boilerplate. A bad
-/// flag or value prints the error and the usage line and exits 2.
+/// One-call flag wiring shared by every bench: appends the standard obs
+/// flags (and scale/ranks/quick/eps/engine-flavor) to the bench's own flag
+/// list, parses argv, applies --log-level, and fills BenchArgs. A bad flag
+/// or value prints the error and the usage line and exits 2.
 inline ParsedArgs parse_args_with(int argc, char** argv, std::vector<std::string> extra) {
-  extra.insert(extra.end(), {"scale", "ranks", "quick!", "eps"});
-  const std::vector<std::string> known =
-      svmutil::with_engine_flags(svmutil::with_obs_flags(std::move(extra)));
+  extra.insert(extra.end(), {"scale", "ranks", "quick!", "eps", "engine-flavor"});
+  const std::vector<std::string> known = svmutil::with_obs_flags(std::move(extra));
   try {
     svmutil::CliFlags flags(argc, argv, known);
     const svmutil::ObsPaths obs = svmutil::apply_obs_flags(flags);
-    const svmutil::EngineChoice engine = svmutil::apply_engine_flags(flags);
     BenchArgs args;
     args.scale = flags.get_double("scale", 1.0);
     args.quick = flags.get_bool("quick");
     args.eps = flags.get_double("eps", 1e-3);
     args.trace_out = obs.trace_out;
     args.metrics_out = obs.metrics_out;
-    args.engine_backend = engine.backend;
-    args.engine_flavor = engine.flavor;
-    (void)svmkernel::engine_backend_from_string(args.engine_backend);  // validate early
-    (void)svmkernel::row_flavor_from_string(args.engine_flavor);
+    args.engine_flavor = flags.get("engine-flavor", "f64");
+    (void)svmkernel::row_flavor_from_string(args.engine_flavor);  // validate early
     if (flags.has("ranks")) args.ranks = parse_rank_list(flags.get("ranks", ""));
     if (args.quick) args.scale *= 0.25;
     return ParsedArgs{std::move(flags), std::move(args)};
@@ -132,14 +124,6 @@ inline svmcore::SolverParams params_for(const svmdata::ZooEntry& entry, double e
   p.C = entry.C;
   p.eps = eps;
   p.kernel = svmkernel::KernelParams::rbf_with_sigma_sq(entry.sigma_sq);
-  return p;
-}
-
-/// BenchArgs-aware variant: also applies the --engine-backend selection
-/// (name conversion throws on unknown values).
-inline svmcore::SolverParams params_for(const svmdata::ZooEntry& entry, const BenchArgs& args) {
-  svmcore::SolverParams p = params_for(entry, args.eps);
-  p.engine_backend = svmkernel::engine_backend_from_string(args.engine_backend);
   return p;
 }
 
@@ -259,9 +243,12 @@ inline int run_figure_bench(const std::string& figure, const std::string& datase
   const svmdata::Dataset train = svmdata::make_train(entry, scale);
   std::printf(
       "container workload: n=%zu, d=%zu, density %.2f%%, C=%g, sigma^2=%g, "
-      "engine=%s, baseline Q flavor=%s\n\n",
+      "engine=%s (auto, density %.2f), baseline Q flavor=%s\n\n",
       train.size(), train.dim(), 100.0 * train.X.density(), entry.C, entry.sigma_sq,
-      args.engine_backend.c_str(), args.engine_flavor.c_str());
+      svmkernel::to_string(
+          svmkernel::resolve_backend(svmkernel::EngineBackend::auto_select, train.X))
+          .c_str(),
+      train.X.density(), args.engine_flavor.c_str());
 
   const std::vector<int> rank_list = args.ranks.empty() ? default_ranks : args.ranks;
   // Every configuration of the sweep lands on one trace timeline (separated
@@ -272,7 +259,7 @@ inline int run_figure_bench(const std::string& figure, const std::string& datase
     svmobs::trace_enable();
   }
   std::vector<svmobs::RunReport> reports;
-  const auto rows = run_scaling(train, params_for(entry, args), rank_list,
+  const auto rows = run_scaling(train, params_for(entry, args.eps), rank_list,
                                 args.metrics_out.empty() ? nullptr : &reports);
   if (!args.trace_out.empty()) {
     svmobs::trace_disable();

@@ -186,7 +186,7 @@ int main(int argc, char** argv) {
   for (const std::string& name : names) {
     const svmdata::ZooEntry& entry = svmdata::zoo_entry(name);
     const svmdata::Dataset train = svmdata::make_train(entry, args.scale);
-    const svmcore::SolverParams base = svmbench::params_for(entry, args);
+    const svmcore::SolverParams base = svmbench::params_for(entry, args.eps);
     bool dataset_hit_2x = false;
 
     for (const int p : rank_list) {

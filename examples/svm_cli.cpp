@@ -43,12 +43,13 @@ int usage(const char* program) {
       "               broadcasts; [--pbm-blocks B] fixes the block count, default\n"
       "               = ranks)\n"
       "              [--w-pos W] [--w-neg W]\n"
-      "              [--engine-backend reference|dense_scatter|simd]\n"
       "              [--engine-flavor f64]   (the solvers train in f64; --baseline\n"
-      "               accepts f32/f16/i8 for its compressed Q-row cache)\n"
+      "               accepts f32/f16/i8 for its compressed Q-row cache; the\n"
+      "               kernel strategy, simd panels or sparse scatter, follows\n"
+      "               the data's density)\n"
       "              [--log-level L] [--trace-out trace.json] [--metrics-out m.json]\n"
       "  %s predict  <data> <model-in> [--out predictions.txt]\n"
-      "              [--engine-backend B] [--engine-flavor f64|f32|f16|i8]\n"
+      "              [--engine-flavor f64|f32|f16|i8]\n"
       "  %s cv       <data> [--folds K] [--c-grid a,b,..] [--gamma-grid a,b,..]\n"
       "  %s regress  <data> <model-out> [--c C] [--tube T] [--sigma-sq S]\n"
       "  %s outliers <data> <model-out> [--nu NU] [--sigma-sq S]\n",
@@ -80,7 +81,7 @@ std::vector<double> parse_grid(const std::string& list) {
 
 int run_train(const svmutil::CliFlags& flags) {
   const svmutil::ObsPaths obs = svmutil::apply_obs_flags(flags);
-  const svmutil::EngineChoice engine = svmutil::apply_engine_flags(flags);
+  const std::string flavor = flags.get("engine-flavor", "f64");
   const svmdata::Dataset train = svmdata::read_libsvm_file(flags.positional()[1]);
   const std::string model_path = flags.positional()[2];
   const svmkernel::KernelParams kernel = kernel_from(flags);
@@ -95,7 +96,7 @@ int run_train(const svmutil::CliFlags& flags) {
     options.weight_negative = flags.get_double("w-neg", 1.0);
     options.eps = eps;
     options.kernel = kernel;
-    options.q_flavor = svmkernel::row_flavor_from_string(engine.flavor);
+    options.q_flavor = svmkernel::row_flavor_from_string(flavor);
     const auto result = svmbaseline::solve_libsvm_like(train, options);
     std::printf("baseline: %llu iterations, cache hit rate %.1f%%\n",
                 static_cast<unsigned long long>(result.iterations),
@@ -108,10 +109,9 @@ int run_train(const svmutil::CliFlags& flags) {
     params.kernel = kernel;
     params.weight_positive = flags.get_double("w-pos", 1.0);
     params.weight_negative = flags.get_double("w-neg", 1.0);
-    if (svmkernel::row_flavor_from_string(engine.flavor) != svmkernel::RowFlavor::f64)
-      throw std::invalid_argument("--engine-flavor " + engine.flavor +
+    if (svmkernel::row_flavor_from_string(flavor) != svmkernel::RowFlavor::f64)
+      throw std::invalid_argument("--engine-flavor " + flavor +
                                   " applies to --baseline only; the solvers train in f64");
-    params.engine_backend = svmkernel::engine_backend_from_string(engine.backend);
     params.algo = svmcore::solver_algo_from_string(flags.get("solver", "smo"));
     params.pbm_blocks = static_cast<int>(flags.get_int("pbm-blocks", 0));
     svmcore::TrainOptions options;
@@ -142,15 +142,15 @@ int run_train(const svmutil::CliFlags& flags) {
 }
 
 int run_predict(const svmutil::CliFlags& flags) {
-  const svmutil::EngineChoice choice = svmutil::apply_engine_flags(flags);
+  const svmkernel::RowFlavor flavor =
+      svmkernel::row_flavor_from_string(flags.get("engine-flavor", "f64"));
   const svmdata::Dataset data = svmdata::read_libsvm_file(flags.positional()[1]);
   const svmcore::SvmModel model = svmcore::SvmModel::load_file(flags.positional()[2]);
 
-  // One engine for the whole prediction sweep; flavored engines (simd +
-  // f32/f16/i8) trade exactness for compressed support-vector storage.
+  // One engine for the whole prediction sweep; flavored engines
+  // (f32/f16/i8) trade exactness for compressed support-vector storage.
   svmkernel::KernelEngine engine =
-      model.make_engine(svmkernel::engine_backend_from_string(choice.backend),
-                        svmkernel::row_flavor_from_string(choice.flavor));
+      model.make_engine(svmkernel::EngineBackend::auto_select, flavor);
   std::vector<double> predictions(data.size());
   for (std::size_t i = 0; i < data.size(); ++i)
     predictions[i] = model.decision_value(data.X.row(i), engine) >= 0.0 ? 1.0 : -1.0;
@@ -261,10 +261,10 @@ int main(int argc, char** argv) {
   try {
     const svmutil::CliFlags flags(
         argc, argv,
-        svmutil::with_engine_flags(svmutil::with_obs_flags(
-            {"c", "sigma-sq", "gamma", "eps", "ranks", "heuristic", "kernel", "baseline!", "out",
-             "solver", "pbm-blocks", "w-pos", "w-neg", "folds", "c-grid", "gamma-grid", "tube",
-             "nu"})));
+        svmutil::with_obs_flags({"c", "sigma-sq", "gamma", "eps", "ranks", "heuristic",
+                                 "kernel", "baseline!", "out", "solver", "pbm-blocks", "w-pos",
+                                 "w-neg", "folds", "c-grid", "gamma-grid", "tube", "nu",
+                                 "engine-flavor"}));
     if (flags.positional().size() < 2) return usage(argv[0]);
     const std::string& mode = flags.positional()[0];
     if (mode == "cv") return run_cv(flags);

@@ -59,6 +59,8 @@
 # quantizer are exactly the code where a narrowing cast silently saturates —
 # then runs bench_precision --assert (simd f64 bitwise vs scalar, reduced
 # flavors within their disagreement gates, simd f32 >= 1.5x scalar double)
+# and bench_engine_backends --assert (every strategy bitwise-equal to
+# reference; the data's choice >= 0.95x the best strategy on higgs and url),
 # and gates the committed BENCH_engine.json / BENCH_precision.json artifacts
 # with tools/bench_diff (self-diff quiet, perturbed copy caught).
 #
@@ -254,6 +256,10 @@ if $run_simd; then
   # clear 1.5x single-core kernel-eval throughput over scalar double. Runs
   # in a scratch dir so the committed artifact is not overwritten.
   (cd "$simd_dir" && "$OLDPWD"/build/bench/bench_precision --quick --assert)
+  # --assert: every strategy bitwise-equal to reference on every zoo shape,
+  # and the data's choice (auto) within 0.95x of the better of dense_scatter
+  # and simd on higgs (dense) and url (sparse).
+  (cd "$simd_dir" && "$OLDPWD"/build/bench/bench_engine_backends --quick --assert)
   # The committed artifacts must be gate-clean against themselves and the
   # gate must still be loud: perturb one throughput leaf in each and demand
   # bench_diff flags it.

@@ -8,7 +8,6 @@ namespace svmcore {
 
 ConfusionMatrix distributed_evaluate(svmmpi::Comm& comm, const SvmModel& model,
                                      const svmdata::Dataset& dataset,
-                                     svmkernel::EngineBackend backend,
                                      svmkernel::RowFlavor flavor) {
   const svmdata::BlockRange range =
       svmdata::block_range(dataset.size(), comm.size(), comm.rank());
@@ -16,7 +15,8 @@ ConfusionMatrix distributed_evaluate(svmmpi::Comm& comm, const SvmModel& model,
   // One engine per rank: each query row scatters once and streams the
   // support vectors in a single fused pass (bit-identical to model.predict
   // at f64; flavored engines serve the compressed accuracy-gated mode).
-  svmkernel::KernelEngine engine = model.make_engine(backend, flavor);
+  svmkernel::KernelEngine engine =
+      model.make_engine(svmkernel::EngineBackend::auto_select, flavor);
   ConfusionMatrix local;
   for (std::size_t i = range.begin; i < range.end; ++i) {
     const bool predicted_positive = model.decision_value(dataset.X.row(i), engine) >= 0.0;
@@ -48,9 +48,8 @@ ConfusionMatrix distributed_evaluate(svmmpi::Comm& comm, const SvmModel& model,
 }
 
 double distributed_accuracy(svmmpi::Comm& comm, const SvmModel& model,
-                            const svmdata::Dataset& dataset,
-                            svmkernel::EngineBackend backend, svmkernel::RowFlavor flavor) {
-  return distributed_evaluate(comm, model, dataset, backend, flavor).accuracy();
+                            const svmdata::Dataset& dataset, svmkernel::RowFlavor flavor) {
+  return distributed_evaluate(comm, model, dataset, flavor).accuracy();
 }
 
 }  // namespace svmcore

@@ -36,11 +36,11 @@ class SvmModel {
   /// of many queries (decision_value(x, engine)). The engine references the
   /// model — the model must outlive it. One engine per thread: the engine
   /// carries mutable scatter state. `flavor` selects the resident precision
-  /// of the support-vector rows under the simd backend (f32/f16/i8 trade
-  /// exactness for footprint/bandwidth; see row_store.hpp) — reduced
-  /// flavors require `backend == simd`.
+  /// of the support-vector rows (f32/f16/i8 trade exactness for
+  /// footprint/bandwidth; see row_store.hpp) — reduced flavors need the simd
+  /// backend, which auto_select picks for them.
   [[nodiscard]] svmkernel::KernelEngine make_engine(
-      svmkernel::EngineBackend backend = svmkernel::EngineBackend::dense_scatter,
+      svmkernel::EngineBackend backend = svmkernel::EngineBackend::auto_select,
       svmkernel::RowFlavor flavor = svmkernel::RowFlavor::f64) const;
 
   /// Engine-accelerated scoring; `engine` must come from make_engine() on

@@ -114,13 +114,15 @@ void finish_result(const svmdata::Dataset& dataset, const DistributedConfig& con
     out.modeled_seconds = std::max(out.modeled_seconds, modeled);
   }
 
-  // Provenance: which engine backend produced this result. Mirrored into
-  // run reports and (when tracing) the trace timeline, so artifacts record
-  // the backend that made them. Labels are string literals — the trace
-  // recorder keeps pointers, not copies.
-  out.engine_backend = svmkernel::to_string(config.params.engine_backend);
+  // Provenance: the engine strategy every rank's f64 engine over dataset.X
+  // resolved to, mirrored into run reports and (when tracing) the trace
+  // timeline. Labels are string literals — the trace recorder keeps
+  // pointers, not copies.
+  const svmkernel::EngineBackend backend =
+      svmkernel::resolve_backend(config.params.engine_backend, dataset.X);
+  out.engine_backend = svmkernel::to_string(backend);
   out.solver_algo = to_string(config.params.algo);
-  svmobs::trace_instant(svmkernel::trace_label(config.params.engine_backend), "meta");
+  svmobs::trace_instant(svmkernel::trace_label(backend), "meta");
 
   out.model = build_model(dataset, alpha, out.beta, config.params.kernel);
   out.alpha = std::move(alpha);

@@ -57,11 +57,11 @@ struct SolverParams {
   double eps = 1e-3;  ///< user tolerance; terminate when beta_up + 2*eps >= beta_low
   std::uint64_t max_iterations = 100'000'000;  ///< safety valve, not a tuning knob
 
-  /// Kernel-evaluation strategy for the solver hot paths. `dense_scatter`
-  /// (default) is bit-identical to `reference` — see kernel_engine.hpp — and
-  /// so is `simd` (training engines are always f64), so this is a
-  /// performance knob, never a results knob.
-  svmkernel::EngineBackend engine_backend = svmkernel::EngineBackend::dense_scatter;
+  /// Kernel-evaluation strategy for the solver hot paths. The default
+  /// `auto_select` lets the engine pick from the data (kernel_engine.hpp);
+  /// tests pin `reference` as the oracle. Every strategy is bit-identical
+  /// (training engines are always f64), so this never changes results.
+  svmkernel::EngineBackend engine_backend = svmkernel::EngineBackend::auto_select;
 
   /// Per-class cost weights (libsvm's -wi): the box constraint of a sample
   /// with label y is C * (y > 0 ? weight_positive : weight_negative). Used

@@ -15,21 +15,21 @@ constexpr std::uint64_t kCacheCounterStride = 1024;
 
 }  // namespace
 
+EngineBackend resolve_backend(EngineBackend requested, const svmdata::CsrMatrix& X,
+                              RowFlavor flavor, std::size_t cache_budget_bytes) noexcept {
+  if (requested != EngineBackend::auto_select) return requested;
+  if (flavor != RowFlavor::f64 && cache_budget_bytes == 0) return EngineBackend::simd;
+  return X.density() >= kSimdMinDensity ? EngineBackend::simd : EngineBackend::dense_scatter;
+}
+
 std::string to_string(EngineBackend backend) {
   switch (backend) {
     case EngineBackend::reference: return "reference";
     case EngineBackend::dense_scatter: return "dense_scatter";
     case EngineBackend::simd: return "simd";
+    case EngineBackend::auto_select: return "auto";
   }
   return "?";
-}
-
-EngineBackend engine_backend_from_string(const std::string& name) {
-  if (name == "reference") return EngineBackend::reference;
-  if (name == "dense_scatter") return EngineBackend::dense_scatter;
-  if (name == "simd") return EngineBackend::simd;
-  throw std::invalid_argument("engine_backend_from_string: unknown backend '" + name +
-                              "' (expected reference|dense_scatter|simd)");
 }
 
 const char* trace_label(EngineBackend backend) noexcept {
@@ -37,11 +37,13 @@ const char* trace_label(EngineBackend backend) noexcept {
     case EngineBackend::reference: return "backend_reference";
     case EngineBackend::dense_scatter: return "backend_dense_scatter";
     case EngineBackend::simd: return "backend_simd";
+    case EngineBackend::auto_select: return "backend_auto";
   }
   return "backend_unknown";
 }
 
 void KernelEngine::init_flavored(std::size_t cache_budget_bytes) {
+  backend_ = resolve_backend(backend_, X_, flavor_, cache_budget_bytes);
   if (flavor_ != RowFlavor::f64 && backend_ != EngineBackend::simd && cache_budget_bytes == 0)
     throw std::invalid_argument("KernelEngine: flavored rows ('" + to_string(flavor_) +
                                 "') need the simd backend or a cache budget (rows are "

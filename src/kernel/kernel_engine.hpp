@@ -22,15 +22,22 @@
 //   dense_scatter  the fused fast path described above;
 //   simd           the engine's norm-range rows materialized in a dense
 //                  panel RowStore (lane-per-row, see row_store.hpp) and
-//                  evaluated with the runtime-dispatched SIMD kernels.
+//                  evaluated with the runtime-dispatched SIMD kernels;
+//   auto_select    the production default: resolve_backend picks simd or
+//                  dense_scatter from the WHOLE matrix's density, so every
+//                  rank's slice of one matrix resolves the same way.
+// No option selects a strategy: the named ones are pins for the tests'
+// oracle and parity checks, the strategy benches, and the baselines (whose
+// k_row_floats rows are filled by scatter under every backend).
 // The Q-row cache is a layer, not a backend: a cache budget > 0 puts a
 // KernelRowCache in front of k_row_floats on whichever backend fills rows.
 //
 // Row flavors (RowFlavor, row_store.hpp) select the resident precision of
 // the simd store and of cached Q rows: f64 is exact; f32/f16/i8 trade
 // precision for footprint and bandwidth. A reduced flavor needs something
-// to hold it — the simd RowStore or a row cache — so a scalar backend
-// without a cache budget accepts only f64. The training solvers always
+// to hold it — the simd RowStore or a row cache — so a pinned scalar
+// backend without a cache budget accepts only f64, and auto_select resolves
+// such an engine to simd. The training solvers always
 // build f64 engines, so optimization stays bit-exact double; flavors are a
 // prediction/Q-cache feature, accuracy-gated by tests and bench_precision.
 //
@@ -77,10 +84,21 @@
 
 namespace svmkernel {
 
-enum class EngineBackend { reference, dense_scatter, simd };
+enum class EngineBackend { reference, dense_scatter, simd, auto_select };
+
+/// Whole-matrix density at and above which auto_select picks simd: simd
+/// wins 1.4-2.4x on dense rows and loses up to 500x on sparse ones
+/// (bench_engine_backends; table in DESIGN.md).
+inline constexpr double kSimdMinDensity = 0.5;
+
+/// `requested` unless it is auto_select; then simd for a reduced flavor
+/// without a cache budget (only the panel store can hold it), else by density.
+[[nodiscard]] EngineBackend resolve_backend(EngineBackend requested,
+                                            const svmdata::CsrMatrix& X,
+                                            RowFlavor flavor = RowFlavor::f64,
+                                            std::size_t cache_budget_bytes = 0) noexcept;
 
 [[nodiscard]] std::string to_string(EngineBackend backend);
-[[nodiscard]] EngineBackend engine_backend_from_string(const std::string& name);
 /// Stable string literal for trace metadata (trace_instant keeps pointers).
 [[nodiscard]] const char* trace_label(EngineBackend backend) noexcept;
 
@@ -100,11 +118,11 @@ class KernelEngine {
  public:
   /// Engine over rows [norm_begin, norm_end) of `X` (a distributed rank's
   /// local block); squared norms for that slice are computed on
-  /// construction. `cache_budget_bytes` > 0 puts the row cache in front of
-  /// k_row_floats, on any backend. `flavor` selects the resident row
-  /// precision of the simd store / cached Q rows; without either of those a
-  /// reduced flavor is rejected. The engine keeps references to `kernel`
-  /// and `X` — both must outlive it.
+  /// construction; `backend` is resolved (resolve_backend). A cache budget
+  /// > 0 puts the row cache in front of k_row_floats, on any backend.
+  /// `flavor` selects the resident row precision of the simd store / cached
+  /// Q rows; without either of those a reduced flavor is rejected. The
+  /// engine keeps references to `kernel` and `X` — both must outlive it.
   KernelEngine(const Kernel& kernel, const svmdata::CsrMatrix& X, EngineBackend backend,
                std::size_t norm_begin, std::size_t norm_end,
                std::size_t cache_budget_bytes = 0, RowFlavor flavor = RowFlavor::f64);
@@ -122,6 +140,7 @@ class KernelEngine {
                EngineBackend backend, std::span<const double> sq_norms,
                RowFlavor flavor = RowFlavor::f64);
 
+  /// The resolved strategy; never auto_select.
   [[nodiscard]] EngineBackend backend() const noexcept { return backend_; }
   [[nodiscard]] RowFlavor flavor() const noexcept { return flavor_; }
   [[nodiscard]] const Kernel& kernel() const noexcept { return kernel_; }

@@ -219,7 +219,8 @@ void worker_body(Comm& comm, const svmcore::SvmModel& model, const ServeOptions&
                           static_cast<std::size_t>(opt.shards);
 
   const svmkernel::Kernel kernel(model.kernel_params());
-  svmkernel::KernelEngine engine(kernel, model.support_vectors(), opt.backend, begin, end, 0,
+  svmkernel::KernelEngine engine(kernel, model.support_vectors(),
+                                 svmkernel::EngineBackend::auto_select, begin, end, 0,
                                  opt.flavor);
   // Overload shedding to reduced precision gets its own flavored store; the
   // exact engine stays resident so un-degraded batches keep bit-exactness.

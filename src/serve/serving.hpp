@@ -87,7 +87,6 @@ struct ServeOptions {
   double degrade_queue_frac = 0.5;   ///< degrade when depth > frac*capacity
   svmkernel::RowFlavor degrade_flavor = svmkernel::RowFlavor::f32;
 
-  svmkernel::EngineBackend backend = svmkernel::EngineBackend::dense_scatter;
   svmkernel::RowFlavor flavor = svmkernel::RowFlavor::f64;
 
   /// timeout_s doubles as the workers' idle-receive backstop; must be > 0

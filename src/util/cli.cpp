@@ -79,16 +79,4 @@ ObsPaths apply_obs_flags(const CliFlags& flags) {
   return ObsPaths{flags.get("trace-out", ""), flags.get("metrics-out", "")};
 }
 
-std::vector<std::string> with_engine_flags(std::vector<std::string> known) {
-  known.emplace_back("engine-backend");
-  known.emplace_back("engine-flavor");
-  return known;
-}
-
-EngineChoice apply_engine_flags(const CliFlags& flags, const std::string& default_backend,
-                                const std::string& default_flavor) {
-  return EngineChoice{flags.get("engine-backend", default_backend),
-                      flags.get("engine-flavor", default_flavor)};
-}
-
 }  // namespace svmutil

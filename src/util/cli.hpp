@@ -51,24 +51,4 @@ struct ObsPaths {
 /// paths. Defaults leave logging and tracing untouched.
 ObsPaths apply_obs_flags(const CliFlags& flags);
 
-/// Kernel-engine selection shared by the CLI and the benches: which backend
-/// evaluates kernel rows and which row-storage flavor it uses. Values are
-/// kept as strings here so svmutil stays independent of svmkernel; callers
-/// convert with engine_backend_from_string / row_flavor_from_string (which
-/// reject unknown names with a clear error).
-struct EngineChoice {
-  std::string backend;  ///< --engine-backend: reference|dense_scatter|simd
-  std::string flavor;   ///< --engine-flavor: f64|f32|f16|i8 (Q-row cache / prediction)
-};
-
-/// Appends the standard engine flags ("engine-backend", "engine-flavor") to a
-/// known-flags list, mirroring with_obs_flags.
-[[nodiscard]] std::vector<std::string> with_engine_flags(std::vector<std::string> known);
-
-/// Reads the flags added by with_engine_flags, substituting the given
-/// defaults when a flag is absent.
-[[nodiscard]] EngineChoice apply_engine_flags(const CliFlags& flags,
-                                              const std::string& default_backend = "dense_scatter",
-                                              const std::string& default_flavor = "f64");
-
 }  // namespace svmutil

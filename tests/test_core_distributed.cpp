@@ -8,6 +8,7 @@
 #include "core/sequential_smo.hpp"
 #include "core/trainer.hpp"
 #include "data/synthetic.hpp"
+#include "data/zoo.hpp"
 
 namespace {
 
@@ -146,6 +147,35 @@ TEST(Distributed, OpenmpGammaPathIsBitwiseEquivalent) {
   ASSERT_EQ(a.model.num_support_vectors(), b.model.num_support_vectors());
   for (std::size_t j = 0; j < a.model.num_support_vectors(); ++j)
     EXPECT_EQ(a.model.coefficients()[j], b.model.coefficients()[j]);
+}
+
+TEST(Distributed, DefaultEngineSolveBitIdenticalToReference) {
+  // Default SolverParams leave the kernel strategy to the data (simd panels
+  // on dense higgs, sparse scatter on url); either way the model must be the
+  // reference merge join's, bit for bit, at one rank and at four.
+  for (const char* name : {"higgs", "url"}) {
+    const svmdata::ZooEntry& entry = svmdata::zoo_entry(name);
+    const Dataset train = svmdata::make_train(entry, 0.05);
+    SolverParams params;
+    params.C = entry.C;
+    params.kernel = KernelParams::rbf_with_sigma_sq(entry.sigma_sq);
+    SolverParams pinned = params;
+    pinned.engine_backend = svmkernel::EngineBackend::reference;
+    for (const int ranks : {1, 4}) {
+      SCOPED_TRACE(std::string(name) + " p=" + std::to_string(ranks));
+      TrainOptions options;
+      options.num_ranks = ranks;
+      options.heuristic = svmcore::Heuristic::parse("Multi5pc");
+      const TrainResult ref = svmcore::train(train, pinned, options);
+      const TrainResult automatic = svmcore::train(train, params, options);
+      ASSERT_TRUE(ref.converged);
+      EXPECT_EQ(automatic.iterations, ref.iterations);
+      EXPECT_EQ(automatic.beta, ref.beta);
+      ASSERT_EQ(automatic.alpha.size(), ref.alpha.size());
+      for (std::size_t i = 0; i < ref.alpha.size(); ++i)
+        EXPECT_EQ(automatic.alpha[i], ref.alpha[i]) << "alpha " << i;
+    }
+  }
 }
 
 TEST(Distributed, ActiveTraceRecordsShrinkingCurve) {

@@ -1,8 +1,9 @@
-// KernelEngine: hand-computed values for every kernel type, and the bitwise
+// KernelEngine: hand-computed values for every kernel type, the bitwise
 // parity guarantee between the reference merge-join backend and the fused
-// dense_scatter backend. The parity is not approximate — EXPECT_EQ on
-// doubles — because checkpoint/chaos recovery and the model-parity tests all
-// assume the backends are interchangeable without changing a single bit.
+// dense_scatter backend, and the auto_select resolution rule. The parity is
+// not approximate — EXPECT_EQ on doubles — because checkpoint/chaos recovery
+// and the model-parity tests all assume the backends are interchangeable
+// without changing a single bit.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "data/synthetic.hpp"
+#include "data/zoo.hpp"
 #include "kernel/kernel_engine.hpp"
 
 namespace {
@@ -414,13 +416,95 @@ TEST(KernelEngineTest, BatchPredictMatchesAccumulateRowsAcrossBackends) {
   }
 }
 
-TEST(KernelEngineTest, BackendNamesRoundTrip) {
-  for (const EngineBackend b :
-       {EngineBackend::reference, EngineBackend::dense_scatter, EngineBackend::simd})
-    EXPECT_EQ(engine_backend_from_string(to_string(b)), b);
-  EXPECT_THROW((void)engine_backend_from_string("warp_drive"), std::invalid_argument);
-  // The row cache is a layer on any backend, not a backend of its own.
-  EXPECT_THROW((void)engine_backend_from_string("cached"), std::invalid_argument);
+// --- auto_select: the strategy follows the whole matrix's density ----------
+
+/// `rows` rows over up to `d` columns: the first `full_rows` hold every
+/// column, each later row i only column i % d.
+CsrMatrix split_density_matrix(std::size_t rows, std::size_t full_rows, int d) {
+  CsrMatrix X;
+  for (std::size_t i = 0; i < rows; ++i) {
+    std::vector<Feature> row;
+    if (i < full_rows) {
+      for (int c = 0; c < d; ++c) row.push_back({c, 1.0 + static_cast<double>(c)});
+    } else {
+      row.push_back({static_cast<int>(i) % d, 2.0});
+    }
+    X.add_row(row);
+  }
+  return X;
+}
+
+TEST(KernelEngineAuto, DenseMatrixResolvesToSimdAndUrlShapeToDenseScatter) {
+  const Kernel kernel(params_for(KernelType::rbf));
+  const Dataset higgs = svmdata::make_train(svmdata::zoo_entry("higgs"), 0.02);
+  const Dataset url = svmdata::make_train(svmdata::zoo_entry("url"), 0.02);
+  ASSERT_GE(higgs.X.density(), kSimdMinDensity);
+  ASSERT_LT(url.X.density(), kSimdMinDensity);
+  EXPECT_EQ(KernelEngine(kernel, higgs.X, EngineBackend::auto_select).backend(),
+            EngineBackend::simd);
+  EXPECT_EQ(KernelEngine(kernel, url.X, EngineBackend::auto_select).backend(),
+            EngineBackend::dense_scatter);
+  // A pin is never overridden by the data.
+  EXPECT_EQ(KernelEngine(kernel, higgs.X, EngineBackend::dense_scatter).backend(),
+            EngineBackend::dense_scatter);
+  EXPECT_EQ(KernelEngine(kernel, url.X, EngineBackend::reference).backend(),
+            EngineBackend::reference);
+}
+
+TEST(KernelEngineAuto, EveryNormRangeSliceResolvesLikeTheWholeMatrix) {
+  const Kernel kernel(params_for(KernelType::rbf));
+  // Dense overall with a sparse tail, then sparse overall with a dense head:
+  // a slice-local rule would flip on the tail/head slices.
+  const struct {
+    CsrMatrix X;
+    EngineBackend expected;
+  } cases[] = {{split_density_matrix(16, 12, 8), EngineBackend::simd},
+               {split_density_matrix(16, 2, 8), EngineBackend::dense_scatter}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.X.density());
+    for (std::size_t begin = 0; begin < c.X.rows(); ++begin)
+      for (std::size_t end = begin; end <= c.X.rows(); ++end)
+        EXPECT_EQ(KernelEngine(kernel, c.X, EngineBackend::auto_select, begin, end).backend(),
+                  c.expected)
+            << "[" << begin << ", " << end << ")";
+  }
+}
+
+TEST(KernelEngineAuto, ReducedFlavorWithoutCacheResolvesToSimd) {
+  const Kernel kernel(params_for(KernelType::rbf));
+  const CsrMatrix sparse = split_density_matrix(16, 0, 64);
+  ASSERT_LT(sparse.density(), kSimdMinDensity);
+  for (const RowFlavor flavor : {RowFlavor::f32, RowFlavor::f16, RowFlavor::i8}) {
+    SCOPED_TRACE(to_string(flavor));
+    EXPECT_EQ(KernelEngine(kernel, sparse, EngineBackend::auto_select, 0, flavor).backend(),
+              EngineBackend::simd);
+    // With a cache budget the flavor lives in the Q-row cache; density rules.
+    EXPECT_EQ(
+        KernelEngine(kernel, sparse, EngineBackend::auto_select, 1 << 16, flavor).backend(),
+        EngineBackend::dense_scatter);
+  }
+  const std::vector<double> norms = sparse.row_squared_norms();
+  EXPECT_EQ(KernelEngine(params_for(KernelType::rbf), sparse, EngineBackend::auto_select,
+                         norms, RowFlavor::f32)
+                .backend(),
+            EngineBackend::simd);
+}
+
+TEST(KernelEngineAuto, BackendNeverReportsAutoSelect) {
+  const Kernel kernel(params_for(KernelType::rbf));
+  const CsrMatrix empty;
+  const CsrMatrix dense = split_density_matrix(8, 8, 4);
+  const CsrMatrix sparse = split_density_matrix(8, 0, 64);
+  for (const CsrMatrix* X : {&empty, &dense, &sparse}) {
+    EXPECT_NE(KernelEngine(kernel, *X, EngineBackend::auto_select).backend(),
+              EngineBackend::auto_select);
+    EXPECT_NE(resolve_backend(EngineBackend::auto_select, *X), EngineBackend::auto_select);
+    const std::vector<double> norms = X->row_squared_norms();
+    EXPECT_NE(
+        KernelEngine(params_for(KernelType::rbf), *X, EngineBackend::auto_select, norms)
+            .backend(),
+        EngineBackend::auto_select);
+  }
 }
 
 }  // namespace

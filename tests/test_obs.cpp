@@ -16,6 +16,7 @@
 
 #include "core/trainer.hpp"
 #include "data/synthetic.hpp"
+#include "data/zoo.hpp"
 #include "mpisim/fault.hpp"
 #include "obs/analyze.hpp"
 #include "obs/json.hpp"
@@ -262,6 +263,34 @@ TEST_F(ObsTest, TracedTrainingCoversAllFourLayersAndWritesReport) {
 
   std::filesystem::remove(trace_path);
   std::filesystem::remove(metrics_path);
+}
+
+TEST_F(ObsTest, ProvenanceNamesTheResolvedEngineStrategy) {
+  // Default params leave the strategy to the data: the result, its run
+  // report and the trace's meta instant all name what actually ran.
+  const svmdata::ZooEntry& url = svmdata::zoo_entry("url");
+  const struct {
+    svmdata::Dataset data;
+    const char* expected;
+  } cases[] = {{obs_dataset(), "simd"},
+               {svmdata::make_train(url, 0.05), "dense_scatter"}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.expected);
+    svmobs::trace_reset();
+    svmobs::trace_enable();
+    TrainOptions options;
+    options.num_ranks = 2;
+    const TrainResult result = svmcore::train(c.data, obs_params(), options);
+    svmobs::trace_disable();
+    EXPECT_EQ(result.engine_backend, c.expected);
+    const svmobs::RunReport report = svmcore::run_report(result, options, "provenance");
+    bool reported = false;
+    for (const auto& [key, value] : report.info)
+      if (key == "engine_backend") reported = value == c.expected;
+    EXPECT_TRUE(reported);
+    EXPECT_NE(svmobs::trace_json().find(std::string("\"backend_") + c.expected + "\""),
+              std::string::npos);
+  }
 }
 
 TEST_F(ObsTest, CrashMidSolveStillFlushesWellFormedPartialTrace) {

@@ -37,8 +37,6 @@ using svmkernel::RowStore;
 
 constexpr RowFlavor kAllFlavors[] = {RowFlavor::f64, RowFlavor::f32, RowFlavor::f16,
                                      RowFlavor::i8};
-constexpr EngineBackend kAllBackends[] = {EngineBackend::reference,
-                                          EngineBackend::dense_scatter, EngineBackend::simd};
 
 // Restores the runtime SIMD dispatch on scope exit, whatever the test did.
 struct DispatchGuard {
@@ -114,21 +112,6 @@ TEST(FlavorNames, ElementBytes) {
   EXPECT_EQ(svmkernel::flavor_element_bytes(RowFlavor::f32), 4u);
   EXPECT_EQ(svmkernel::flavor_element_bytes(RowFlavor::f16), 2u);
   EXPECT_EQ(svmkernel::flavor_element_bytes(RowFlavor::i8), 1u);
-}
-
-TEST(BackendNames, RoundTripAllBackends) {
-  for (const EngineBackend b : kAllBackends)
-    EXPECT_EQ(svmkernel::engine_backend_from_string(svmkernel::to_string(b)), b)
-        << svmkernel::to_string(b);
-}
-
-TEST(BackendNames, RejectsUnknownWithClearError) {
-  try {
-    (void)svmkernel::engine_backend_from_string("gpu");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("gpu"), std::string::npos) << e.what();
-  }
 }
 
 // --- f64 bit-exactness ------------------------------------------------------
